@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src
 
-.PHONY: test test-fast test-stacked test-async test-concurrent test-capture lint bench bench-smoke
+.PHONY: test test-fast test-stacked test-async test-concurrent test-capture test-paper lint bench bench-smoke
 
 test: lint
 	$(PYTHON) -m pytest -x -q
@@ -27,6 +27,16 @@ test-concurrent:
 # optimizer-on/off bitwise differentials, and the build cache.
 test-capture:
 	$(PYTHON) -m pytest -x -q -m capture
+
+# The paper tier: every table/figure bench in benchmarks/, each asserting
+# the shape of its finding (minutes, not part of `make test`). Output goes
+# to PAPER_OUT rather than over the golden files in benchmarks/results/;
+# the diff against them is printed but does not fail the target.
+# `make test-paper PAPER_FLAGS=--no-compile` runs every step eagerly.
+PAPER_OUT ?= .paper-results
+test-paper:
+	$(PYTHON) -m pytest benchmarks -p no:cacheprovider --results-dir $(PAPER_OUT) $(PAPER_FLAGS)
+	-diff -ru benchmarks/results $(PAPER_OUT)
 
 # Uses ruff or pyflakes when installed; otherwise a stdlib AST fallback.
 lint:

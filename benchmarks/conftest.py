@@ -20,7 +20,9 @@ import pathlib
 import pytest
 
 from repro.experiments.scale import ScalePreset
+from repro.federated import FederatedConfig
 
+#: the golden files; ``--results-dir`` writes a run's output elsewhere
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
 #: Tiny preset used by the heavier accuracy benches (Table 3, Figures 7-12).
@@ -29,9 +31,45 @@ TINY = ScalePreset(
 )
 
 
+def pytest_addoption(parser):
+    parser.addoption(
+        "--results-dir", default=None,
+        help="write bench output here instead of benchmarks/results/",
+    )
+    parser.addoption(
+        "--no-compile", action="store_true",
+        help="run every federated config with compile=False (eager steps)",
+    )
+
+
+def pytest_configure(config):
+    global RESULTS_DIR
+    if config.getoption("--results-dir"):
+        RESULTS_DIR = pathlib.Path(config.getoption("--results-dir"))
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _eager_steps(request):
+    """``--no-compile``: force compile off on every config, however built."""
+    if not request.config.getoption("--no-compile"):
+        yield
+        return
+    post_init = FederatedConfig.__post_init__
+
+    def eager(self):
+        post_init(self)
+        self.compile = False
+
+    FederatedConfig.__post_init__ = eager
+    try:
+        yield
+    finally:
+        FederatedConfig.__post_init__ = post_init
+
+
 def emit(name: str, text: str, capsys) -> None:
-    """Print ``text`` to the real terminal and save it under results/."""
-    RESULTS_DIR.mkdir(exist_ok=True)
+    """Print ``text`` to the real terminal and save it under the results dir."""
+    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
     (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     with capsys.disabled():
         print(f"\n===== {name} =====")

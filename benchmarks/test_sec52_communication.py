@@ -33,8 +33,11 @@ def run_accounting():
             algorithm_kwargs={"mu": 0.01} if algorithm == "fedprox" else None,
         )
         history = outcome.history
+        first = history.records[0]
         rows[algorithm] = {
-            "per_round_mb": history.records[0].bytes_communicated / 1e6,
+            "per_round_bytes": first.bytes_communicated,
+            "uploaders": len(first.participants),
+            "per_round_mb": first.bytes_communicated / 1e6,
             "total_mb": history.cumulative_communication()[-1] / 1e6,
             "final_acc": history.final_accuracy,
         }
@@ -52,9 +55,13 @@ def test_sec52_communication(benchmark, capsys):
         )
     emit("sec52_communication", "\n".join(lines), capsys)
 
-    # FedProx and FedNova cost exactly what FedAvg costs.
-    assert rows["fedprox"]["per_round_mb"] == rows["fedavg"]["per_round_mb"]
-    assert rows["fednova"]["per_round_mb"] == rows["fedavg"]["per_round_mb"]
+    # FedProx costs exactly what FedAvg costs; FedNova adds exactly one
+    # float32 per uploading party (its local step count tau_i).
+    fedavg_bytes = rows["fedavg"]["per_round_bytes"]
+    assert rows["fedprox"]["per_round_bytes"] == fedavg_bytes
+    assert rows["fednova"]["per_round_bytes"] == (
+        fedavg_bytes + 4 * rows["fednova"]["uploaders"]
+    )
     # SCAFFOLD roughly doubles the traffic (exactly double for models
     # without buffers; slightly less than 2x when buffers exist).
     ratio = rows["scaffold"]["per_round_mb"] / rows["fedavg"]["per_round_mb"]

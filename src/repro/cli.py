@@ -33,7 +33,7 @@ from repro.experiments.decision_tree import recommend_algorithm
 from repro.experiments.scale import PRESETS
 from repro.federated.algorithms import ALGORITHM_NAMES
 from repro.partition import parse_strategy, stats
-from repro.spec import RunSpec
+from repro.spec import ExecSpec, RunSpec
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -199,8 +199,10 @@ def _add_experiment_args(parser: argparse.ArgumentParser) -> None:
         help="resume a run from this checkpoint file",
     )
     parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=False,
-        help="capture & replay training steps (bitwise-identical, faster)",
+        "--compile", action=argparse.BooleanOptionalAction,
+        default=ExecSpec.compile,
+        help="capture & replay training steps (bitwise-identical, faster; "
+             "on by default — --no-compile runs every step eagerly)",
     )
     parser.add_argument(
         "--optimize", action=argparse.BooleanOptionalAction, default=True,

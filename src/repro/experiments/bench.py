@@ -177,7 +177,7 @@ def bench_compiled_step(
             model, features, labels = _step_fixture(name, seed=seed)
             model.train()
             optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
-            engine = training_engine(model) if compiled else None
+            engine = training_engine(model, len(labels)) if compiled else None
 
             def one_step():
                 optimizer.zero_grad()
@@ -252,7 +252,7 @@ def bench_stacked_replay(
             model, features, labels = _step_fixture(name, seed=seed)
             model.train()
             optimizer = SGD(model.parameters(), lr=0.01, momentum=0.9)
-            engine = training_engine(model)
+            engine = training_engine(model, len(labels))
 
             def one_step():
                 optimizer.zero_grad()
@@ -339,7 +339,7 @@ def bench_arena_plan(seed: int = 0, stack: int = 16) -> list[dict]:
     def train_stats(name):
         model, features, labels = _step_fixture(name, seed=seed)
         model.train()
-        engine = training_engine(model)
+        engine = training_engine(model, len(labels))
         engine.step(features, labels)
         (program,) = engine.programs.values()
         return program.stats

@@ -15,6 +15,14 @@ import pathlib
 from collections import defaultdict
 
 from repro.experiments.runner import TrialSummary
+from repro.federated.algorithms import ALGORITHM_NAMES
+
+
+def _canonical_order(name: str) -> tuple[int, str]:
+    """Registry order (the order Table 3 enumerates), unknown names last."""
+    if name in ALGORITHM_NAMES:
+        return ALGORITHM_NAMES.index(name), name
+    return len(ALGORITHM_NAMES), name
 
 
 class Leaderboard:
@@ -42,15 +50,19 @@ class Leaderboard:
         return sorted(names)
 
     def ranking(self, dataset: str, partition: str) -> list[tuple[str, float]]:
-        """Algorithms for one setting, best mean accuracy first."""
+        """Algorithms for one setting, best mean accuracy first.
+
+        Ties go to the canonical algorithm order, not to insertion
+        order: under ``--jobs`` entries arrive in completion order, and
+        :meth:`best`/:meth:`win_counts` must not depend on scheduling.
+        """
         key = (dataset, partition)
         if key not in self._entries:
             raise KeyError(f"no entries for {key}")
         entries = self._entries[key]
         return sorted(
             ((name, summary.mean) for name, summary in entries.items()),
-            key=lambda item: item[1],
-            reverse=True,
+            key=lambda item: (-item[1], _canonical_order(item[0])),
         )
 
     def best(self, dataset: str, partition: str) -> str:

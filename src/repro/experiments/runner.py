@@ -28,7 +28,7 @@ from repro.federated import (
 from repro.models import build_model
 from repro.partition import Partition, parse_strategy
 from repro.partition.base import Partitioner
-from repro.spec import RunSpec
+from repro.spec import ExecSpec, RunSpec
 from repro.experiments.scale import BENCH, ScalePreset
 
 #: the paper tunes lr from {0.1, 0.01, 0.001}; rcv1 uses 0.1, the rest 0.01
@@ -306,7 +306,7 @@ def run_federated_experiment(
     deadline: float | None = None,
     checkpoint_every: int = 0,
     checkpoint_path: str | None = None,
-    compile: bool = False,
+    compile: bool = ExecSpec.compile,
     resume: str | None = None,
     seed: int = 0,
     algorithm_kwargs: dict | None = None,
@@ -354,7 +354,8 @@ def run_federated_experiment(
     compile:
         Capture & replay training/inference steps through preallocated
         buffers (see :mod:`repro.grad.capture`); bitwise-identical to
-        eager execution, purely a speed knob.
+        eager execution, purely a speed knob.  On by default;
+        ``compile=False`` runs every step eagerly.
     resume:
         Path of a checkpoint to load before training; the run continues
         from the checkpointed round and only executes the remaining ones.

@@ -5,6 +5,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
+from repro.spec import ExecSpec
+
 if TYPE_CHECKING:
     from repro.federated.privacy import DifferentialPrivacy
 
@@ -136,7 +138,10 @@ class FederatedConfig:
         it through preallocated buffers on later steps (see
         :mod:`repro.grad.capture`).  Replays are bitwise identical to
         eager execution, so this is purely a speed knob; models using
-        unsupported ops (e.g. dropout) transparently stay eager.
+        unsupported ops (e.g. dropout) transparently stay eager.  On by
+        default (the default is declared once, on
+        :class:`~repro.spec.ExecSpec`); only batches of exactly
+        ``batch_size`` rows are captured.
     optimize:
         Run the program optimizer on captured steps (liveness-planned
         buffer arena, dead-op elimination, constant interning).  On by
@@ -201,7 +206,7 @@ class FederatedConfig:
     max_retries: int = 1
     checkpoint_every: int = 0
     checkpoint_path: str | None = None
-    compile: bool = False
+    compile: bool = ExecSpec.compile
     optimize: bool = True
     aggregation: str = "sync"
     sample_per_round: int | None = None

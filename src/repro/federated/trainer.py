@@ -128,11 +128,12 @@ def run_local_training(
     model.train()
     params = model.parameters()
     loader = client.loader(config.batch_size)
-    # Step capture & replay (see repro.grad.capture): the engine replays
-    # full-size batches bitwise-identically and returns None for any other
-    # shape (the ragged last batch), which then runs the eager path below.
+    # Step capture & replay (see repro.grad.capture): the engine captures
+    # and replays batches of exactly ``batch_size`` rows bitwise-identically
+    # and returns None for any other shape (a ragged last batch, a party
+    # smaller than one batch), which then runs the eager path below.
     engine = (
-        training_engine(model, optimize=config.optimize)
+        training_engine(model, config.batch_size, optimize=config.optimize)
         if config.compile
         else None
     )

@@ -2670,13 +2670,14 @@ class StackedEngine:
 # Engines
 # ----------------------------------------------------------------------
 class _Engine:
-    """Shared capture bookkeeping: one program per batch-shape key.
+    """Shared capture bookkeeping: at most one program per engine.
 
-    Only the *first* shape seen is captured; every other shape (the
-    ragged last batch of a loader, odd evaluation tails) reports a
-    fallback and runs eagerly.  ``captures``/``replays``/``fallbacks``
-    count what actually happened, and ``failures`` maps a shape key to
-    the reason its capture was rejected.
+    The base rule captures the *first* shape seen; every other shape
+    (odd evaluation tails) reports a fallback and runs eagerly.
+    Subclasses narrow which shape may be captured.
+    ``captures``/``replays``/``fallbacks`` count what actually happened,
+    and ``failures`` maps a shape key to the reason its capture was
+    rejected.
     """
 
     def __init__(self, model, optimize: bool = True):
@@ -2697,7 +2698,24 @@ class _Engine:
 
 
 class TrainingEngine(_Engine):
-    """Captured forward+backward training step (loss and param grads)."""
+    """Captured forward+backward training step (loss and param grads).
+
+    Only a batch of exactly ``batch_size`` rows is captured, so the one
+    program is the loader's full batch whichever party trains first.
+    Every other shape — a ragged last batch, a party smaller than one
+    batch — runs eagerly without a capture attempt.
+    """
+
+    def __init__(self, model, batch_size: int, optimize: bool = True):
+        super().__init__(model, optimize=optimize)
+        self.batch_size = batch_size
+
+    def _should_capture(self, key) -> bool:
+        features_shape = key[0]
+        return (
+            features_shape[0] == self.batch_size
+            and super()._should_capture(key)
+        )
 
     def step(self, features: np.ndarray, labels: np.ndarray) -> float | None:
         """Loss for one step, with grads left in ``param.grad``.
@@ -2818,18 +2836,20 @@ def _engine_cache(model) -> dict:
     return cache
 
 
-def training_engine(model, optimize: bool = True) -> TrainingEngine:
-    """The model's cached :class:`TrainingEngine` (created on first use).
+def training_engine(
+    model, batch_size: int, optimize: bool = True
+) -> TrainingEngine:
+    """The model's cached :class:`TrainingEngine` for ``batch_size``.
 
     ``optimize=False`` compiles programs without the arena planner and
-    dead-op elimination (the ``--no-optimize`` escape hatch); optimized
-    and raw engines are cached independently.
+    dead-op elimination (the ``--no-optimize`` escape hatch); engines
+    are cached independently per (batch size, optimize) pair.
     """
     cache = _engine_cache(model)
-    key = "train" if optimize else "train-raw"
+    key = ("train" if optimize else "train-raw", batch_size)
     engine = cache.get(key)
     if engine is None:
-        engine = TrainingEngine(model, optimize=optimize)
+        engine = TrainingEngine(model, batch_size, optimize=optimize)
         cache[key] = engine
     return engine
 

@@ -177,8 +177,10 @@ class ExecSpec:
     checkpoint_every: int = 0
     checkpoint_path: str | None = None
     #: capture & replay training/inference steps (bitwise-identical to
-    #: eager by contract, hence exec-section; see repro.grad.capture)
-    compile: bool = False
+    #: eager by contract, hence exec-section; see repro.grad.capture).
+    #: The one declaration of the compile default: FederatedConfig, the
+    #: runner facade and the CLI all read it from here
+    compile: bool = True
     #: run the program optimizer on captured steps (arena planning,
     #: dead-op elimination, constant interning — bitwise-identical by
     #: construction; ``--no-optimize`` is the escape hatch)
@@ -328,7 +330,7 @@ class RunSpec:
         staleness_exponent: float = 0.0,
         checkpoint_every: int = 0,
         checkpoint_path: str | None = None,
-        compile: bool = False,
+        compile: bool = ExecSpec.compile,
         optimize: bool = True,
         seed: int = 0,
         algorithm_kwargs: dict | None = None,

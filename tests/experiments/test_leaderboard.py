@@ -39,6 +39,21 @@ class TestLeaderboard:
     def test_win_counts(self, board):
         assert board.win_counts() == {"fedprox": 1, "fedavg": 1}
 
+    def test_ties_break_by_canonical_order_not_insertion(self):
+        # Under --jobs entries land in completion order; a tied mean must
+        # still rank fedavg > fedprox > scaffold > fednova, then unknowns.
+        forward, backward = Leaderboard(), Leaderboard()
+        names = ["fedavg", "fedprox", "scaffold", "fednova", "custom"]
+        for name in names:
+            forward.add(summary("adult", "iid", name, [0.7033]))
+        for name in reversed(names):
+            backward.add(summary("adult", "iid", name, [0.7033]))
+        for board in (forward, backward):
+            assert [n for n, _ in board.ranking("adult", "iid")] == names
+            assert board.best("adult", "iid") == "fedavg"
+            assert board.win_counts() == {"fedavg": 1}
+        assert forward.render() == backward.render()
+
     def test_unknown_setting(self, board):
         with pytest.raises(KeyError):
             board.ranking("cifar10", "iid")

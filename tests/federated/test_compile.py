@@ -23,9 +23,14 @@ from repro.federated import (
     Scaffold,
     make_clients,
 )
+from repro.experiments import run_spec
+from repro.experiments.scale import SMOKE
+from repro.federated import trainer
 from repro.grad import nn
+from repro.grad.capture import training_engine
 from repro.models import MODEL_NAMES, build_model
-from repro.partition import HomogeneousPartitioner
+from repro.partition import HomogeneousPartitioner, parse_strategy
+from repro.spec import RunSpec
 
 #: Small enough that even resnet50 steps in well under a second.
 CASES = {
@@ -175,3 +180,91 @@ class TestResume:
         payload = pickle.loads(blob)
         for value in payload["global_state"].values():
             assert isinstance(value, np.ndarray)
+
+
+class TestCaptureRule:
+    """The training engine captures exactly ``batch_size`` rows."""
+
+    BATCH = 8
+
+    def test_small_first_party_does_not_claim_the_program(self):
+        n, rounds = 96, 2
+        info = DatasetInfo(
+            name="synthetic", modality="tabular", num_classes=4,
+            input_shape=(16,), num_train=n, num_test=n,
+        )
+        train = tiny_dataset("mlp", n)
+        # Partition seed 6 gives party sizes [7, 32, 12, 10, 9, 26].
+        partition = parse_strategy("dir(0.5)").partition(
+            train, 6, np.random.default_rng(6)
+        )
+        config = FederatedConfig(
+            num_rounds=rounds, local_epochs=1, batch_size=self.BATCH,
+            lr=0.05, momentum=0.9, seed=17,
+        )
+        assert config.compile  # the default
+        clients = make_clients(partition, train, seed=config.seed)
+        model = build_model("mlp", info, seed=61)
+        with FederatedServer(model, FedAvg(), clients, config) as server:
+            server.fit(rounds)
+        first = server.history.records[0].participants[0]
+        assert clients[first].num_samples < self.BATCH
+
+        engine = training_engine(model, self.BATCH)
+        assert [key[0][0] for key in engine.programs] == [self.BATCH]
+        sizes = [client.num_samples for client in clients]
+        full = rounds * sum(size // self.BATCH for size in sizes)
+        ragged = rounds * sum(size % self.BATCH > 0 for size in sizes)
+        assert engine.captures == 1
+        assert engine.replays == full - 1
+        assert engine.fallbacks == ragged
+        assert not engine.failures
+
+
+def default_and_eager(dataset, partition, algorithm, model, monkeypatch):
+    """History dicts of a default-exec spec and its ``compile=False`` twin.
+
+    Also asserts that the default run really replayed captured steps.
+    """
+    engines = []
+
+    def recording_engine(*args, **kwargs):
+        engine = training_engine(*args, **kwargs)
+        engines.append(engine)
+        return engine
+
+    monkeypatch.setattr(trainer, "training_engine", recording_engine)
+    kwargs = dict(
+        model=model, preset=SMOKE, num_rounds=2, local_epochs=1, seed=3,
+        dataset_kwargs={"n_train": 200, "n_test": 100},
+    )
+    if algorithm == "fedprox":
+        kwargs["algorithm_kwargs"] = {"mu": 0.01}
+    default = RunSpec.build(dataset, partition, algorithm, **kwargs)
+    eager = RunSpec.build(dataset, partition, algorithm, compile=False, **kwargs)
+    assert default.exec.compile and not eager.exec.compile
+    assert default.run_id() == eager.run_id()
+    default_history = run_spec(default).history.to_dict()
+    assert sum(engine.replays for engine in set(engines)) > 0
+    engines.clear()
+    eager_history = run_spec(eager).history.to_dict()
+    assert not engines
+    return default_history, eager_history
+
+
+@pytest.mark.parametrize(
+    "algorithm, model",
+    [
+        ("fedavg", "mlp"),
+        ("fedprox", "mlp"),
+        ("scaffold", "mlp"),
+        ("fednova", "mlp"),
+        ("fedavg", "cnn"),
+    ],
+)
+def test_default_exec_history_bitwise_eager(algorithm, model, monkeypatch):
+    dataset = "adult" if model == "mlp" else "mnist"
+    default, eager = default_and_eager(
+        dataset, "dir(0.5)", algorithm, model, monkeypatch
+    )
+    assert default == eager

@@ -66,7 +66,7 @@ def run_steps(name, compiled, steps=3, **sgd_kwargs):
     model = make_model(name)
     model.train()
     optimizer = SGD(model.parameters(), lr=0.05, **sgd_kwargs)
-    engine = TrainingEngine(model) if compiled else None
+    engine = TrainingEngine(model, 4) if compiled else None
     losses = []
     for step in range(steps):
         features, labels = make_batch(name, seed=step)
@@ -125,7 +125,7 @@ class TestOptimizerHooks:
             for p in model.parameters()
         ]
         optimizer.set_correction(correction, mode="step")
-        engine = TrainingEngine(model) if compiled else None
+        engine = TrainingEngine(model, 4) if compiled else None
         losses = []
         for step in range(3):
             features, labels = make_batch("mlp", seed=step)
@@ -147,7 +147,7 @@ class TestFallback:
         model = make_model("mlp")
         model.train()
         optimizer = SGD(model.parameters(), lr=0.05)
-        engine = TrainingEngine(model)
+        engine = TrainingEngine(model, 4)
         full = make_batch("mlp", batch_size=4, seed=0)
         ragged = make_batch("mlp", batch_size=3, seed=1)
         assert compiled_step(engine, optimizer, *full) is not None
@@ -159,12 +159,30 @@ class TestFallback:
         assert compiled_step(engine, optimizer, *full) is not None
         assert engine.replays == 1
 
+    def test_ragged_first_batch_is_not_captured(self):
+        model = make_model("mlp")
+        model.train()
+        optimizer = SGD(model.parameters(), lr=0.05)
+        engine = TrainingEngine(model, 4)
+        ragged = make_batch("mlp", batch_size=3, seed=1)
+        full = make_batch("mlp", batch_size=4, seed=0)
+        # A shape other than batch_size is never even attempted...
+        assert engine.step(*ragged) is None
+        assert (engine.captures, engine.fallbacks) == (0, 1)
+        assert not engine.failures
+        # ...so the full batch that follows is the one program.
+        assert compiled_step(engine, optimizer, *full) is not None
+        assert compiled_step(engine, optimizer, *full) is not None
+        assert (engine.captures, engine.replays) == (1, 1)
+        ((features_shape, *_),) = engine.programs
+        assert features_shape[0] == 4
+
     def test_ragged_batch_sequence_bitwise(self):
         def run(compiled):
             model = make_model("mlp")
             model.train()
             optimizer = SGD(model.parameters(), lr=0.05)
-            engine = TrainingEngine(model) if compiled else None
+            engine = TrainingEngine(model, 4) if compiled else None
             losses = []
             for step, batch_size in enumerate((4, 4, 3, 4)):
                 features, labels = make_batch("mlp", batch_size, seed=step)
@@ -191,7 +209,7 @@ class TestFallback:
             nn.Linear(16, 8, rng=rng), nn.ReLU(), nn.Dropout(0.5), nn.Linear(8, 4, rng=rng)
         )
         model.train()
-        engine = TrainingEngine(model)
+        engine = TrainingEngine(model, 4)
         features, labels = make_batch("mlp", seed=0)
         # The capture attempt itself still returns the eager loss...
         assert engine.step(features, labels) is not None
@@ -254,7 +272,7 @@ class TestAllocations:
         model = make_model("cnn")
         model.train()
         optimizer = SGD(model.parameters(), lr=0.05)
-        engine = TrainingEngine(model)
+        engine = TrainingEngine(model, 4)
         features, labels = make_batch("cnn", seed=0)
         compiled_step(engine, optimizer, features, labels)  # capture
         eager_blocks = count_blocks(
