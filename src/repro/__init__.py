@@ -21,10 +21,18 @@ Quickstart::
         num_rounds=10,
     )
     print(outcome.final_accuracy)
+
+Importing the package sets numpy's OpenBLAS to one thread (see
+:mod:`repro._blas`), so results do not depend on the host's core count
+and ``--jobs`` is the way to use more cores.
 """
 
+from repro import _blas
 from repro.experiments.runner import ExperimentOutcome, run_federated_experiment, run_spec
 from repro.spec import RunSpec
+
+# After the imports, so the OpenBLAS copies they mapped are all pinned.
+_blas.pin_one_thread()
 
 __version__ = "0.1.0"
 

@@ -17,8 +17,9 @@ measured bytes one federated round puts on the wire under each codec
 (the compression-ratio column of the Section 5.2 trade-off).
 
 Run as ``python -m repro.experiments.bench`` (or ``make bench`` /
-``repro-bench``); results land in ``BENCH_core.json`` with enough
-hardware context to interpret the speedup column.  On a machine with
+``repro-bench``); results land in ``BENCH_core.json`` with a
+``provenance`` block (git sha, CPU count and model, numpy, BLAS and the
+BLAS thread count in effect) to interpret the numbers by.  On a machine with
 fewer physical cores than workers the parallel speedup is capped by the
 hardware, not the implementation — the ``note`` field records this.
 """
@@ -29,11 +30,13 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import time
 from pathlib import Path
 
 import numpy as np
 
+from repro import _blas
 from repro.data import load_dataset
 from repro.federated import (
     FedAvg,
@@ -670,6 +673,53 @@ def _hardware_note(cpu_count: int, worker_counts: list[int]) -> str:
     )
 
 
+def _git(*args: str) -> str | None:
+    """Output of a git command in this source tree; ``None`` outside git."""
+    try:
+        done = subprocess.run(
+            ["git", *args], cwd=Path(__file__).resolve().parent,
+            capture_output=True, text=True, timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return None
+    return done.stdout.strip() if done.returncode == 0 else None
+
+
+def _cpu_model() -> str:
+    try:
+        with open("/proc/cpuinfo") as cpuinfo:
+            for line in cpuinfo:
+                name, _, value = line.partition(":")
+                if name.strip() == "model name":
+                    return value.strip()
+    except OSError:
+        pass
+    return platform.processor() or "unknown"
+
+
+def provenance() -> dict:
+    """Facts about the code and host that the report's numbers depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas_name = f"{blas.get('name')} {blas.get('version')}"
+    except (KeyError, TypeError):
+        blas_name = "unknown"
+    status = _git("status", "--porcelain")
+    return {
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": None if status is None else bool(status),
+        "cpu_count": os.cpu_count() or 1,
+        "cpu_model": _cpu_model(),
+        "machine": platform.machine(),
+        "system": platform.system(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": blas_name,
+        "blas_threads": _blas.num_threads(),
+        "fork_available": fork_available(),
+    }
+
+
 def run_benchmarks(
     repeats: int = 2,
     worker_counts: tuple[int, ...] = (0, 2, 4),
@@ -694,16 +744,9 @@ def run_benchmarks(
         print(f"skipping worker counts {dropped}: fork is unavailable")
     worker_counts = [w for w in worker_counts if w not in dropped]
     report = {
-        "schema": 1,
+        "schema": 2,
         "suite": "repro.experiments.bench",
-        "hardware": {
-            "cpu_count": cpu_count,
-            "machine": platform.machine(),
-            "system": platform.system(),
-            "python": platform.python_version(),
-            "numpy": np.__version__,
-            "fork_available": fork_available(),
-        },
+        "provenance": provenance(),
         "local_round": bench_local_round(
             repeats=repeats if smoke else max(repeats, 3), seed=seed
         ),
